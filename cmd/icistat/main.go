@@ -17,6 +17,7 @@ import (
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/cluster"
 	"icistrategy/internal/core"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/metrics"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/strategy"
@@ -117,7 +118,7 @@ func run(args []string) error {
 	probes := 500
 	for b := 0; b < probes; b++ {
 		for idx := 0; idx < len(members); idx++ {
-			owners, err := core.Owners(rng.Uint64(), members, idx, *replication)
+			owners, err := membership.Owners(rng.Uint64(), members, idx, *replication)
 			if err != nil {
 				return err
 			}

@@ -11,7 +11,7 @@ import (
 // EpochRes encodes the PR-8 stale-placement bug family: after membership
 // became epoch-versioned, every placement decision about an existing
 // block must flow from the epoch the block was WRITTEN under
-// (epochAt/membersAt/placementAt), not from the raw live roster — a
+// (membership.Map.At, core's placementAt), not from the raw live roster — a
 // rendezvous hash over today's members silently disagrees with where an
 // earlier epoch actually put the chunks, and retrieval asks the wrong
 // nodes.
@@ -20,18 +20,16 @@ import (
 // that already touch the historical-epoch API — because those are
 // exactly the functions handling blocks that may predate the current
 // roster. Inside such a function, passing a raw roster to a placement
-// call (core.Owners, RankedMembers, IsOwner) is flagged when the members
-// argument is:
+// call (membership.Owners, RankedMembers, IsOwner) is flagged when the
+// members argument is:
 //
 //   - a roster field selector like n.cluster.members or cl.ids — live
 //     state, not a resolved epoch — or
-//   - currentEpoch().members / a .members read off a *current* epoch
-//     value obtained via currentEpoch, which pins "now" onto a block
-//     that may be older.
+//   - Newest().Members, which pins "now" onto a block that may be older.
 //
-// Plain identifiers (parameters, locals) and .members reads off values
+// Plain identifiers (parameters, locals) and .Members reads off values
 // produced by the height-resolving API stay silent, so the fixed shapes
-// (ep := c.epochAt(h); Owners(seed, ep.members, ...)) never trigger.
+// (ep := m.At(h); Owners(seed, ep.Members, ...)) never trigger.
 // Intentional current-epoch placement in an epoch-aware function — e.g.
 // a write path that also archives — is annotated:
 // //icilint:allow epochres(reason).
@@ -42,24 +40,20 @@ var EpochRes = &analysis.Analyzer{
 Historical bug (PR 8): retrieval ranked owners over the cluster's live
 member list while the block's chunks had been placed under an earlier
 membership epoch; after churn the ranking diverged and reads missed every
-replica. Resolve the roster at the block's write height (epochAt /
-membersAt / placementAt) before calling Owners/RankedMembers/IsOwner.`,
+replica. Resolve the roster at the block's write height (membership.Map.At
+/ placementAt) before calling Owners/RankedMembers/IsOwner.`,
 	Run: runEpochRes,
 }
 
 // epochMarkers are the historical-epoch API calls that make a function
-// "epoch-aware". currentEpoch is deliberately absent: a function that
-// only ever works on now-state (the write path) is allowed to place by
-// the live roster.
-var epochMarkers = map[string]bool{
-	"epochAt":              true,
-	"placementAt":          true,
-	"partsAt":              true,
-	"membersAt":            true,
-	"ClusterMembersAt":     true,
-	"archivedInfo":         true,
-	"epochForMap":          true,
-	"fetchFromEpochOwners": true,
+// "epoch-aware", keyed by the package that defines them: the membership
+// package's write-epoch resolution and the owner helpers built on it, and
+// core's placement-epoch and archive lookups. Map.Newest is deliberately
+// absent: a function that only ever works on now-state (the write path)
+// is allowed to place by the live roster.
+var epochMarkers = map[string]map[string]bool{
+	"membership": {"At": true, "Sources": true, "Gainers": true},
+	"core":       {"placementAt": true, "partsAt": true, "ClusterMembersAt": true, "archivedInfo": true},
 }
 
 // rosterFields are field names that hold a live member roster.
@@ -95,7 +89,7 @@ func callsEpochMarker(info *types.Info, body *ast.BlockStmt) bool {
 		if !ok || found {
 			return !found
 		}
-		if fn := calleeFunc(info, call); fn != nil && epochMarkers[fn.Name()] {
+		if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil && epochMarkers[lastPathElem(fn.Pkg().Path())][fn.Name()] {
 			found = true
 		}
 		return !found
@@ -115,24 +109,23 @@ func checkEpochRes(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		if src := rawRosterSource(pass.TypesInfo, call.Args[1]); src != "" {
 			pass.Reportf(call.Args[1].Pos(),
-				"placement over raw roster %s in an epoch-aware function; chunks of an existing block live under its write epoch — resolve members at the block's height (epochAt/membersAt) or annotate icilint:allow epochres(reason)", src)
+				"placement over raw roster %s in an epoch-aware function; chunks of an existing block live under its write epoch — resolve members at the block's height (membership.Map.At) or annotate icilint:allow epochres(reason)", src)
 		}
 		return true
 	})
 }
 
-// isPlacementCall matches the rendezvous placement entry points. The
-// members argument is Args[1] for all three.
+// isPlacementCall matches the rendezvous placement entry points of the
+// membership package. The members argument is Args[1] for all three.
 func isPlacementCall(fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
 	switch fn.Name() {
 	case "Owners", "RankedMembers", "IsOwner":
-	default:
-		return false
+		return pkgPathMatches(fn.Pkg().Path(), "membership")
 	}
-	return pkgPathMatches(fn.Pkg().Path(), "core") || pkgPathMatches(fn.Pkg().Path(), "epochstore")
+	return false
 }
 
 // rawRosterSource classifies the members argument, returning a short
@@ -148,11 +141,11 @@ func rawRosterSource(info *types.Info, e ast.Expr) string {
 	}
 	switch base := ast.Unparen(sel.X).(type) {
 	case *ast.CallExpr:
-		// currentEpoch().members pins the live epoch onto the block.
-		if fn := calleeFunc(info, base); fn != nil && fn.Name() == "currentEpoch" {
+		// Newest().Members pins the live epoch onto the block.
+		if fn := calleeFunc(info, base); fn != nil && fn.Name() == "Newest" {
 			return renderSelector(sel)
 		}
-		return "" // epochAt(h).members and friends: resolved
+		return "" // At(h).Members and friends: resolved
 	default:
 		// A .members/.ids field read off live state (cluster, roster
 		// struct) unless the base value is itself an epoch type.

@@ -7,10 +7,10 @@ import (
 	"icistrategy/internal/analysis/analyzers"
 )
 
-// The epochstore fixture reproduces the PR-8 stale-placement bug: an
+// The membership fixture reproduces the PR-8 stale-placement bug: an
 // epoch-aware retrieval path ranking owners over the live roster instead
 // of the block's write-epoch members, next to the resolved fixed shapes
 // and the write path that must stay silent.
 func TestEpochRes(t *testing.T) {
-	analysistest.Run(t, "testdata", analyzers.EpochRes, "epochstore")
+	analysistest.Run(t, "testdata", analyzers.EpochRes, "membership")
 }

@@ -154,9 +154,11 @@ func (x *run) logTarget(a *Action) (*node, *regexp.Regexp, error) {
 	return n, re, nil
 }
 
-// viaCluster builds a cluster client over the nodes named in via=, in the
-// listed order. For distribute, via must list the original membership in
-// placement-id order — the placement seed-to-owner mapping depends on it.
+// viaCluster builds a cluster client over the nodes named in via=. Members
+// take their placement identities from the published cluster map, so any
+// subset lists in any order once churn has published one; before that,
+// identities are positional and via must list the original membership in
+// placement-id order.
 func (x *run) viaCluster(a *Action) (*netx.Cluster, error) {
 	names := splitList(a.Opts["via"])
 	if len(names) == 0 {
@@ -257,8 +259,8 @@ func (x *run) bootstrapMember(a *Action) error {
 }
 
 // churnMember drives graceful membership churn over the production netx
-// paths. via= must list the full membership including the churning node, in
-// placement-id order. retire hands the node's displaced chunks to their new
+// paths. via= must list the full membership including the churning node
+// (in placement-id order while no cluster map is published). retire hands the node's displaced chunks to their new
 // owners and publishes the shrunk epoch; rejoin re-provisions the returning
 // node against each block's write epoch and republishes the full map.
 func (x *run) churnMember(a *Action, kind string) error {

@@ -3,8 +3,18 @@ package core
 import (
 	"testing"
 
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 )
+
+// ids returns n non-contiguous member IDs.
+func ids(n int) []simnet.NodeID {
+	out := make([]simnet.NodeID, n)
+	for i := range out {
+		out[i] = simnet.NodeID(i * 7) // non-contiguous IDs on purpose
+	}
+	return out
+}
 
 // moduloOwner is the naive placement alternative DESIGN.md argues against:
 // chunk i of a block goes to members[(seed+i) mod c]. Cheap, balanced —
@@ -29,11 +39,11 @@ func TestPlacementDisruptionAblation(t *testing.T) {
 		seed := uint64(b)*2654435761 + 7
 		for idx := 0; idx < c; idx++ {
 			total++
-			before, err := Owners(seed, members, idx, 1)
+			before, err := membership.Owners(seed, members, idx, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after, err := Owners(seed, rest, idx, 1)
+			after, err := membership.Owners(seed, rest, idx, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,11 +85,11 @@ func TestJoinDisruptionBounded(t *testing.T) {
 		seed := uint64(b)*971 + 3
 		for idx := 0; idx < c; idx++ {
 			total++
-			before, err := Owners(seed, members, idx, 1)
+			before, err := membership.Owners(seed, members, idx, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after, err := Owners(seed, grown, idx, 1)
+			after, err := membership.Owners(seed, grown, idx, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +112,7 @@ func BenchmarkRankedMembers64(b *testing.B) {
 	members := ids(64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RankedMembers(uint64(i), members, i%64); err != nil {
+		if _, err := membership.RankedMembers(uint64(i), members, i%64); err != nil {
 			b.Fatal(err)
 		}
 	}

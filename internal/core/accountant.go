@@ -6,6 +6,7 @@ import (
 
 	"icistrategy/internal/chain"
 	"icistrategy/internal/cluster"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/strategy"
 )
@@ -42,7 +43,7 @@ func NewAccountant(asg *cluster.Assignment, replication int) (*Accountant, error
 	}
 	for c := 0; c < asg.NumClusters(); c++ {
 		if sz := asg.Size(c); replication < 1 || replication > sz {
-			return nil, fmt.Errorf("%w: r=%d, cluster %d has %d members", ErrBadReplica, replication, c, sz)
+			return nil, fmt.Errorf("%w: r=%d, cluster %d has %d members", membership.ErrBadReplica, replication, c, sz)
 		}
 	}
 	return &Accountant{
@@ -109,7 +110,7 @@ func (a *Accountant) addBlockSized(seed uint64, bodySize int, txSizes []int) {
 			chunkBytes, _ = SplitCounts(bodySize, parts)
 		}
 		for i, cb := range chunkBytes {
-			owners, err := Owners(seed, ids, i, a.replication)
+			owners, err := membership.Owners(seed, ids, i, a.replication)
 			if err != nil {
 				// Unreachable: membership and replication were validated in
 				// NewAccountant.

@@ -7,6 +7,7 @@ import (
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/erasure"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 )
@@ -136,7 +137,7 @@ func (n *Node) archive(net *simnet.Network, block blockcrypto.Hash, info archive
 			perMember[m] = make(map[int][]byte)
 		}
 		for i, share := range shares {
-			owners, oerr := Owners(info.seed, n.cluster.members, i, 1)
+			owners, oerr := membership.Owners(info.seed, n.cluster.members, i, 1)
 			if oerr != nil {
 				done(oerr)
 				return

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"icistrategy/internal/chain"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 )
@@ -46,7 +47,7 @@ func TestLeaveClusterHandsOffChunks(t *testing.T) {
 	if seq != 1 {
 		t.Fatalf("epoch seq = %d after one leave, want 1", seq)
 	}
-	if got := sys.clusters[0].placementAt(0).seq; got != 1 {
+	if got := sys.clusters[0].placementAt(0).Seq; got != 1 {
 		t.Fatalf("placement seq = %d after acknowledged handoff, want 1", got)
 	}
 	for _, b := range blocks {
@@ -134,7 +135,7 @@ func TestRejoinClusterSameIdentity(t *testing.T) {
 
 	// Same identity is back in membership: remove + rejoin = two epochs.
 	cur, _ := sys.ClusterMembers(0)
-	if !memberOf(cur, victim) {
+	if !membership.Contains(cur, victim) {
 		t.Fatal("rejoined node not in membership")
 	}
 	seq, _ := sys.ClusterEpoch(0)
@@ -149,7 +150,7 @@ func TestRejoinClusterSameIdentity(t *testing.T) {
 	for _, b := range all {
 		parts := sys.clusters[0].partsAt(b.Header.Height)
 		for idx := 0; idx < parts; idx++ {
-			owns, err := IsOwner(b.Hash().Uint64(), cur, idx, 2, victim)
+			owns, err := membership.IsOwner(b.Hash().Uint64(), cur, idx, 2, victim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,11 +208,11 @@ func TestRetrievePreDepartureBlockAfterTwoRemovals(t *testing.T) {
 		for _, b := range blocks {
 			seed := b.Hash().Uint64()
 			for idx := 0; idx < writeParts && !shared; idx++ {
-				owners, err := Owners(seed, members, idx, 2)
+				owners, err := membership.Owners(seed, members, idx, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if memberOf(owners, v1) && memberOf(owners, cand) {
+				if membership.Contains(owners, v1) && membership.Contains(owners, cand) {
 					shared = true
 				}
 			}
@@ -287,7 +288,7 @@ func TestRetrievePreDepartureBlockAfterTwoRemovals(t *testing.T) {
 	if lost != 0 {
 		t.Fatalf("repair lost %d chunks with disjoint victims and r=2", lost)
 	}
-	if got := sys.clusters[0].placementAt(0).seq; got != 2 {
+	if got := sys.clusters[0].placementAt(0).Seq; got != 2 {
 		t.Fatalf("placement seq = %d after repair, want 2", got)
 	}
 	for _, b := range blocks {
@@ -423,7 +424,7 @@ func TestConcurrentJoinsBothBootstrap(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("concurrent join %d: %v", r.id, r.err)
 		}
-		if !memberOf(cur, r.id) {
+		if !membership.Contains(cur, r.id) {
 			t.Fatalf("joined node %d missing from membership", r.id)
 		}
 	}

@@ -1,71 +1,32 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 )
 
-// membershipEpoch is one immutable entry of a cluster's epoch-versioned
-// membership map. It subsumes the old partsEpoch: besides the chunk count,
-// each epoch snapshots the member set that governs blocks written at or
-// above fromHeight, so placement, repair ownership and retrieval can all
-// resolve a block against the membership it was written under instead of
-// whatever the cluster mutated into since.
-type membershipEpoch struct {
-	seq        int             // position in clusterInfo.epochs; 0 is the genesis epoch
-	fromHeight uint64          // first height governed by this epoch
-	members    []simnet.NodeID // sorted member snapshot
-	parts      int             // chunk count for blocks written under this epoch (== len(members))
-
-	// placedSeq names the epoch whose rendezvous placement currently
-	// locates the chunks of blocks written under this epoch. It starts at
-	// seq and advances only when a completed migration (repair after a
-	// removal, bootstrap after a join or rejoin, handoff after a graceful
-	// leave) has actually moved the data. Reads therefore resolve chunk
-	// sources against members that stored the chunks, never against a
-	// membership the data has not caught up with yet.
-	placedSeq int
-}
-
-// epochAt returns the membership epoch governing blocks at the given
-// height: the last epoch with fromHeight <= height. Back-to-back epochs at
-// the same height shadow each other, last one wins — the shadowed epoch
-// never governed a block. Every cluster records an epoch at construction,
-// so the walk always resolves.
-func (c *clusterInfo) epochAt(height uint64) *membershipEpoch {
-	e := &c.epochs[0]
-	for i := range c.epochs {
-		if height >= c.epochs[i].fromHeight {
-			e = &c.epochs[i]
-		}
-	}
-	return e
-}
+// A cluster's membership is a membership.Map; this file adds the
+// simulator's migration bookkeeping. clusterInfo.placed[seq] names the
+// epoch whose placement locates the chunks of blocks written under epoch
+// seq. It advances only once a migration (repair, bootstrap, handoff) has
+// actually moved the data, so reads never ask members the data has not
+// reached yet.
 
 // placementAt returns the epoch whose membership currently locates the
 // chunks of a block written at the given height (the write epoch until a
 // migration advanced it).
-func (c *clusterInfo) placementAt(height uint64) *membershipEpoch {
-	return &c.epochs[c.epochAt(height).placedSeq]
+func (c *clusterInfo) placementAt(height uint64) *membership.Epoch {
+	return c.epochs.Epoch(c.placed[c.epochs.At(height).Seq])
 }
 
 // partsAt returns the chunk count for a block at the given height. The
 // count is fixed at write time: membership changes after a block was
 // distributed never change how many chunks it consists of.
 func (c *clusterInfo) partsAt(height uint64) int {
-	return c.epochAt(height).parts
-}
-
-// membersAt returns the member set that governed blocks at the given
-// height (leader election, vote quorums, chunk count).
-func (c *clusterInfo) membersAt(height uint64) []simnet.NodeID {
-	return c.epochAt(height).members
-}
-
-// currentEpoch returns the newest membership epoch.
-func (c *clusterInfo) currentEpoch() *membershipEpoch {
-	return &c.epochs[len(c.epochs)-1]
+	return c.epochs.At(height).Parts()
 }
 
 // pushEpoch appends a new membership epoch governing blocks from
@@ -73,19 +34,16 @@ func (c *clusterInfo) currentEpoch() *membershipEpoch {
 // the caller must not mutate it afterwards. Blocks written under the new
 // epoch place under it from the start; older epochs keep their placement
 // until a migration completes and calls advancePlacement.
-func (c *clusterInfo) pushEpoch(fromHeight uint64, members []simnet.NodeID) *membershipEpoch {
+func (c *clusterInfo) pushEpoch(fromHeight uint64, members []simnet.NodeID) (*membership.Epoch, error) {
 	snap := append([]simnet.NodeID(nil), members...)
 	sort.Slice(snap, func(i, j int) bool { return snap[i] < snap[j] })
-	seq := len(c.epochs)
-	c.epochs = append(c.epochs, membershipEpoch{
-		seq:        seq,
-		fromHeight: fromHeight,
-		members:    snap,
-		parts:      len(snap),
-		placedSeq:  seq,
-	})
+	e, err := c.epochs.Push(fromHeight, snap, nil)
+	if err != nil { // e.g. the cluster would lose its last member
+		return nil, fmt.Errorf("core: cluster %d: %w", c.index, err)
+	}
+	c.placed = append(c.placed, e.Seq)
 	c.members = snap
-	return &c.epochs[seq]
+	return e, nil
 }
 
 // advancePlacement records that a completed migration moved every block's
@@ -93,13 +51,11 @@ func (c *clusterInfo) pushEpoch(fromHeight uint64, members []simnet.NodeID) *mem
 // chunk locations against it. Epochs newer than toSeq (pushed while the
 // migration ran) are left alone — their own migrations advance them.
 func (c *clusterInfo) advancePlacement(toSeq int) {
-	if toSeq < 0 || toSeq >= len(c.epochs) {
+	if toSeq < 0 || toSeq >= len(c.placed) {
 		return
 	}
-	for i := range c.epochs {
-		if c.epochs[i].seq < toSeq && c.epochs[i].placedSeq < toSeq {
-			c.epochs[i].placedSeq = toSeq
-		}
+	for seq := 0; seq < toSeq; seq++ {
+		c.placed[seq] = max(c.placed[seq], toSeq)
 	}
 }
 
@@ -111,18 +67,7 @@ func (c *clusterInfo) advancePlacement(toSeq int) {
 // members. The union is deterministic: current members in order, then
 // placement-only members in order.
 func (c *clusterInfo) fetchMembers(height uint64, self simnet.NodeID) []simnet.NodeID {
-	cur := c.currentEpoch().members
-	place := c.placementAt(height).members
-	out := make([]simnet.NodeID, 0, len(cur)+len(place))
-	for _, m := range cur {
-		if m != self {
-			out = append(out, m)
-		}
-	}
-	for _, m := range place {
-		if m != self && !memberOf(out, m) {
-			out = append(out, m)
-		}
-	}
-	return out
+	place := c.placementAt(height).Members
+	out := membership.Union(make([]simnet.NodeID, 0, len(c.members)+len(place)), self, c.members)
+	return membership.Union(out, self, place)
 }

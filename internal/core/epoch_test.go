@@ -27,15 +27,15 @@ func TestEpochBoundaryArithmetic(t *testing.T) {
 	if got := ci.partsAt(5); got != 3 {
 		t.Fatalf("partsAt(5) = %d, want 3 (boundary belongs to the new epoch)", got)
 	}
-	if got := ci.epochAt(5).seq; got != 1 {
-		t.Fatalf("epochAt(5).seq = %d, want 1", got)
+	if got := ci.epochs.At(5).Seq; got != 1 {
+		t.Fatalf("At(5).Seq = %d, want 1", got)
 	}
 	// Heights far beyond the last boundary resolve to the newest epoch.
 	if got := ci.partsAt(1 << 40); got != 3 {
 		t.Fatalf("partsAt(huge) = %d, want 3", got)
 	}
-	if got := len(ci.membersAt(4)); got != 4 {
-		t.Fatalf("membersAt(4) has %d members, want 4", got)
+	if got := len(ci.epochs.At(4).Members); got != 4 {
+		t.Fatalf("At(4) has %d members, want 4", got)
 	}
 }
 
@@ -48,12 +48,12 @@ func TestBackToBackEpochsSameHeightLastWins(t *testing.T) {
 	ci.pushEpoch(7, epochIDs(0, 1, 2))       // shadowed
 	ci.pushEpoch(7, epochIDs(0, 1, 2, 4, 5)) // wins
 
-	e := ci.epochAt(7)
-	if e.seq != 2 || e.parts != 5 {
-		t.Fatalf("epochAt(7) = seq %d parts %d, want seq 2 parts 5", e.seq, e.parts)
+	e := ci.epochs.At(7)
+	if e.Seq != 2 || e.Parts() != 5 {
+		t.Fatalf("At(7) = seq %d parts %d, want seq 2 parts 5", e.Seq, e.Parts())
 	}
 	for h := uint64(0); h < 20; h++ {
-		if ci.epochAt(h).seq == 1 {
+		if ci.epochs.At(h).Seq == 1 {
 			t.Fatalf("shadowed epoch governs height %d", h)
 		}
 	}
@@ -69,29 +69,29 @@ func TestAdvancePlacementMonotone(t *testing.T) {
 	ci.pushEpoch(6, epochIDs(0, 1, 2, 4))
 
 	// Fresh epochs place under themselves.
-	if got := ci.placementAt(0).seq; got != 0 {
-		t.Fatalf("placementAt(0).seq = %d before any migration, want 0", got)
+	if got := ci.placementAt(0).Seq; got != 0 {
+		t.Fatalf("placementAt(0).Seq = %d before any migration, want 0", got)
 	}
 	// Migrating to epoch 1 moves epoch 0's placement but not epoch 2's.
 	ci.advancePlacement(1)
-	if got := ci.placementAt(0).seq; got != 1 {
-		t.Fatalf("placementAt(0).seq = %d after advance(1), want 1", got)
+	if got := ci.placementAt(0).Seq; got != 1 {
+		t.Fatalf("placementAt(0).Seq = %d after advance(1), want 1", got)
 	}
-	if got := ci.placementAt(6).seq; got != 2 {
-		t.Fatalf("placementAt(6).seq = %d, newer epoch must be untouched", got)
+	if got := ci.placementAt(6).Seq; got != 2 {
+		t.Fatalf("placementAt(6).Seq = %d, newer epoch must be untouched", got)
 	}
 	// Advancing is monotone: an older migration completing late cannot roll
 	// placement back.
 	ci.advancePlacement(2)
 	ci.advancePlacement(1)
-	if got := ci.placementAt(0).seq; got != 2 {
-		t.Fatalf("placementAt(0).seq = %d after late advance(1), want 2", got)
+	if got := ci.placementAt(0).Seq; got != 2 {
+		t.Fatalf("placementAt(0).Seq = %d after late advance(1), want 2", got)
 	}
 	// Out-of-range targets are ignored.
 	ci.advancePlacement(99)
 	ci.advancePlacement(-1)
-	if got := ci.placementAt(0).seq; got != 2 {
-		t.Fatalf("placementAt(0).seq = %d after bogus advances, want 2", got)
+	if got := ci.placementAt(0).Seq; got != 2 {
+		t.Fatalf("placementAt(0).Seq = %d after bogus advances, want 2", got)
 	}
 }
 
@@ -151,7 +151,7 @@ func TestEpochLookupSurvivesPrune(t *testing.T) {
 		}
 	}
 	// Placement for historic heights points at the repaired epoch.
-	if got := sys.clusters[0].placementAt(0).seq; got != 1 {
+	if got := sys.clusters[0].placementAt(0).Seq; got != 1 {
 		t.Fatalf("placement seq = %d after repair+prune, want 1", got)
 	}
 }

@@ -5,25 +5,8 @@ import (
 	"log"
 
 	"icistrategy/internal/core"
-	"icistrategy/internal/simnet"
 	"icistrategy/internal/workload"
 )
-
-// ExampleOwners shows rendezvous chunk placement: deterministic, balanced,
-// and minimally disruptive when membership changes.
-func ExampleOwners() {
-	members := []simnet.NodeID{10, 20, 30, 40}
-	owners, err := core.Owners(12345, members, 2, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(len(owners), "owners for chunk 2")
-	again, _ := core.Owners(12345, members, 2, 2)
-	fmt.Println("deterministic:", owners[0] == again[0] && owners[1] == again[1])
-	// Output:
-	// 2 owners for chunk 2
-	// deterministic: true
-}
 
 // ExampleSplitCounts shows the balanced integer split used for both
 // transaction-group chunking and analytic storage accounting.

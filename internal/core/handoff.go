@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"icistrategy/internal/chain"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 )
@@ -42,31 +43,20 @@ func (n *Node) HandoffChunks(net *simnet.Network, cb func(moved int, err error))
 	n.pc.handoffs.Inc()
 	hs := &handoffState{pending: make(map[uint64]bool), cb: cb}
 	n.handoff = hs
-	target := n.cluster.currentEpoch().members
+	target := n.cluster.members
 	for _, h := range n.store.Headers() {
 		block := h.Hash()
 		if _, archived := n.cluster.archivedInfo(block); archived {
 			continue // coded shares are re-established by archival repair
 		}
-		place := n.cluster.placementAt(h.Height).members
+		place := n.cluster.placementAt(h.Height).Members
 		seed := block.Uint64()
 		for _, idx := range n.store.ChunksForBlock(block) {
 			id := storage.ChunkID{Block: block, Index: idx}
 			if n.meta[id].coded {
 				continue
 			}
-			oldOwners, err := Owners(seed, place, idx, n.replication)
-			if err != nil || !memberOf(oldOwners, n.id) {
-				continue // a stale extra copy; nobody needs it from us
-			}
-			newOwners, err := Owners(seed, target, idx, n.replication)
-			if err != nil {
-				continue
-			}
-			for _, gain := range newOwners {
-				if memberOf(oldOwners, gain) {
-					continue // already an owner; already holds or repairs it
-				}
+			for _, gain := range membership.Gainers(seed, idx, n.replication, place, target, n.id) {
 				n.pushHandoffChunk(net, hs, id, gain)
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 )
@@ -42,7 +43,7 @@ func TestJoinClusterBootstrap(t *testing.T) {
 		seed := b.Hash().Uint64()
 		parts := sys.clusters[0].partsAt(b.Header.Height)
 		for idx := 0; idx < parts; idx++ {
-			owns, err := IsOwner(seed, members, idx, 2, joined)
+			owns, err := membership.IsOwner(seed, members, idx, 2, joined)
 			if err != nil {
 				t.Fatal(err)
 			}

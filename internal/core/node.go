@@ -8,6 +8,7 @@ import (
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/consensus"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 	"icistrategy/internal/trace"
@@ -316,7 +317,7 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 	// chunk count and rendezvous ranking all come from the membership at
 	// the block's height, so a membership change racing a proposal cannot
 	// skew placement.
-	members := n.cluster.membersAt(b.Header.Height)
+	members := n.cluster.epochs.At(b.Header.Height).Members
 	parts := len(members)
 	counts, err := SplitCounts(len(b.Txs), parts)
 	if err != nil {
@@ -375,7 +376,7 @@ func (n *Node) onPropose(net *simnet.Network, m proposeMsg) {
 			payload.Txs = mut
 		}
 		st.payloads[idx] = payload
-		ranked, rerr := RankedMembers(seed, members, idx)
+		ranked, rerr := membership.RankedMembers(seed, members, idx)
 		if rerr != nil {
 			return
 		}
@@ -694,21 +695,12 @@ func (n *Node) onVote(net *simnet.Network, v consensus.Vote) {
 // one) keeps historic certificates valid after churn: a voter that has
 // since departed was a legitimate member when it voted.
 func (n *Node) verifyCommit(m commitMsg) error {
-	members := n.cluster.membersAt(m.Header.Height)
+	members := n.cluster.epochs.At(m.Header.Height).Members
 	return consensus.VerifyCertificate(
 		m.Header.Hash(), m.Parts, len(members), n.replication, m.Votes,
-		func(id simnet.NodeID) bool { return memberOf(members, id) },
+		func(id simnet.NodeID) bool { return membership.Contains(members, id) },
 		n.registry,
 	)
-}
-
-func memberOf(members []simnet.NodeID, id simnet.NodeID) bool {
-	for _, m := range members {
-		if m == id {
-			return true
-		}
-	}
-	return false
 }
 
 // onCommit finalizes a block: store the header and persist any pending

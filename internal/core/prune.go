@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"icistrategy/internal/membership"
 	"icistrategy/internal/storage"
 )
 
@@ -25,12 +26,10 @@ func (n *Node) PruneUnowned() int64 {
 			}
 			// Pruning evaluates PRESENT responsibility: churn transfer has
 			// already re-homed archived chunks under the live roster, so
-			// "do I own this now" is the question, not who wrote it.
-			owners, oerr := Owners(info.seed, n.cluster.members, id.Index, 1) //icilint:allow epochres(prune asks present responsibility; churn transfer re-homes archived chunks under the live roster)
-			if oerr != nil {
-				return true // cannot evaluate: keep conservatively
-			}
-			return memberOf(owners, n.id)
+			// "do I own this now" is the question, not who wrote it. When
+			// that cannot be evaluated, keep the chunk conservatively.
+			owns, oerr := membership.IsOwner(info.seed, n.cluster.members, id.Index, 1, n.id) //icilint:allow epochres(prune asks present responsibility; churn transfer re-homes archived chunks under the live roster)
+			return oerr != nil || owns
 		}
 		parts := n.cluster.partsAt(hdr.Height)
 		if id.Index >= parts {
@@ -42,8 +41,8 @@ func (n *Node) PruneUnowned() int64 {
 		// lives, and collecting their copies would destroy the only
 		// replicas. After the migration advances placement to the current
 		// epoch, the stale copies stop being owned and get collected.
-		place := n.cluster.placementAt(hdr.Height).members
-		owns, oerr := IsOwner(id.Block.Uint64(), place, id.Index, n.replication, n.id)
+		place := n.cluster.placementAt(hdr.Height).Members
+		owns, oerr := membership.IsOwner(id.Block.Uint64(), place, id.Index, n.replication, n.id)
 		if oerr != nil {
 			return true
 		}

@@ -7,6 +7,7 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
 	"icistrategy/internal/trace"
@@ -322,21 +323,18 @@ func (n *Node) onHeaders(net *simnet.Network, m headersMsg) {
 	for _, h := range m.Headers {
 		block := h.Hash()
 		parts := n.cluster.partsAt(h.Height)
-		place := n.cluster.placementAt(h.Height).members
+		place := n.cluster.placementAt(h.Height)
 		seed := block.Uint64()
 		for idx := 0; idx < parts; idx++ {
-			owners, err := Owners(seed, n.cluster.members, idx, n.replication) //icilint:allow epochres(bootstrap decides what this node should hold under the live roster; fetch sources resolve via placementAt above)
-			if err != nil {
-				continue
-			}
-			if !memberOf(owners, n.id) {
+			owns, err := membership.IsOwner(seed, n.cluster.members, idx, n.replication, n.id) //icilint:allow epochres(bootstrap decides what this node should hold under the live roster; fetch sources resolve via placementAt above)
+			if err != nil || !owns {
 				continue
 			}
 			// The block's placement-epoch owners definitively stored the
 			// chunk — ask them first. Then the current co-owners (they may
 			// hold a migrated copy already) and finally the remaining
 			// placement members (stale extra copies survive until pruning).
-			sources := chunkSources(seed, idx, n.replication, place, n.cluster.members, n.id)
+			sources := n.chunkSources(seed, idx, place)
 			if len(sources) == 0 {
 				continue
 			}
@@ -379,28 +377,12 @@ func (n *Node) finishBootstrap(err error) {
 }
 
 // chunkSources builds the deterministic source ring for re-establishing
-// one chunk: the owners under the block's placement epoch (they stored the
-// chunk when it was distributed or last migrated), then the current-epoch
-// co-owners (a completed migration may already have copied it), then the
-// remaining placement members (stale extra copies survive until pruning).
-// self is excluded throughout.
-func chunkSources(seed uint64, idx, replication int, place, current []simnet.NodeID, self simnet.NodeID) []simnet.NodeID {
-	sources := make([]simnet.NodeID, 0, len(place)+replication)
-	add := func(ids []simnet.NodeID) {
-		for _, o := range ids {
-			if o != self && !memberOf(sources, o) {
-				sources = append(sources, o)
-			}
-		}
-	}
-	if placeOwners, err := Owners(seed, place, idx, replication); err == nil {
-		add(placeOwners)
-	}
-	if curOwners, err := Owners(seed, current, idx, replication); err == nil {
-		add(curOwners)
-	}
-	add(place)
-	return sources
+// one chunk, the node itself excluded: membership.Sources over the block's
+// placement and current epochs, then the remaining placement members
+// (stale extra copies survive until pruning).
+func (n *Node) chunkSources(seed uint64, idx int, place *membership.Epoch) []simnet.NodeID {
+	sources := membership.Sources(seed, idx, n.replication, place, n.cluster.epochs.Newest(), n.id)
+	return membership.Union(sources, n.id, place.Members)
 }
 
 // without returns members minus id.
@@ -570,15 +552,15 @@ func (n *Node) RepairOwnership(net *simnet.Network, cb func(lost int)) {
 			if held[idx] {
 				continue
 			}
-			owners, err := Owners(seed, n.cluster.members, idx, n.replication) //icilint:allow epochres(repair targets the post-churn roster by design; sources below use the block's placement epoch)
-			if err != nil || !memberOf(owners, n.id) {
+			owns, err := membership.IsOwner(seed, n.cluster.members, idx, n.replication, n.id) //icilint:allow epochres(repair targets the post-churn roster by design; sources below use the block's placement epoch)
+			if err != nil || !owns {
 				continue
 			}
 			// Sources resolve against the block's placement epoch — the
 			// members that actually stored the chunk — not the mutated
 			// current view.
-			srcs := chunkSources(seed, idx, n.replication, place.members, n.cluster.members, n.id)
-			wants = append(wants, want{epochSeq: place.seq, height: h.Height, block: block, idx: idx, srcs: srcs})
+			srcs := n.chunkSources(seed, idx, place)
+			wants = append(wants, want{epochSeq: place.Seq, height: h.Height, block: block, idx: idx, srcs: srcs})
 		}
 	}
 	sort.Slice(wants, func(i, j int) bool {

@@ -8,6 +8,7 @@ import (
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/cluster"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/metrics"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/storage"
@@ -153,12 +154,10 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.clusters = make([]*clusterInfo, asg.NumClusters())
 	for c := range s.clusters {
-		members := make([]simnet.NodeID, len(asg.Members[c]))
-		for i, m := range asg.Members[c] {
-			members[i] = simnet.NodeID(m)
-		}
 		ci := &clusterInfo{index: c}
-		ci.pushEpoch(0, members)
+		if _, err := ci.pushEpoch(0, memberIDs(asg.Members[c])); err != nil {
+			return nil, err
+		}
 		s.clusters[c] = ci
 	}
 	registry := s.PublicKey
@@ -430,13 +429,12 @@ func (s *System) RemoveNode(id simnet.NodeID) error {
 		return err
 	}
 	ci := n.cluster
-	if !memberOf(ci.members, id) {
+	if !membership.Contains(ci.members, id) {
 		return fmt.Errorf("core: node %d is not a member of cluster %d", id, ci.index)
 	}
-	if len(ci.members) == 1 {
-		return fmt.Errorf("core: cluster %d lost its last member", ci.index)
+	if _, err := ci.pushEpoch(s.height, without(ci.members, id)); err != nil {
+		return err
 	}
-	ci.pushEpoch(s.height, without(ci.members, id))
 	return s.net.SetDown(id, true)
 }
 
@@ -451,7 +449,7 @@ func (s *System) RepairCluster(c int, cb func(lost int)) error {
 		return fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
 	ci := s.clusters[c]
-	target := ci.currentEpoch().seq
+	target := ci.epochs.Newest().Seq
 	outstanding := 0
 	totalLost := 0
 	for _, m := range ci.members {
@@ -537,8 +535,11 @@ func (s *System) JoinCluster(c int, cb func(simnet.NodeID, error)) error {
 	}
 	// Membership grows now; blocks from the current height on are split
 	// into the larger part count.
-	epoch := ci.pushEpoch(s.height, append(ci.members, id))
-	target := epoch.seq
+	epoch, err := ci.pushEpoch(s.height, append(ci.members, id))
+	if err != nil {
+		return err
+	}
+	target := epoch.Seq
 	node.Bootstrap(s.net, sponsor, func(err error) {
 		if err == nil {
 			ci.advancePlacement(target)
@@ -561,17 +562,17 @@ func (s *System) LeaveCluster(id simnet.NodeID, cb func(moved int, err error)) e
 		return err
 	}
 	ci := n.cluster
-	if !memberOf(ci.members, id) {
+	if !membership.Contains(ci.members, id) {
 		return fmt.Errorf("core: node %d is not a member of cluster %d", id, ci.index)
-	}
-	if len(ci.members) == 1 {
-		return fmt.Errorf("core: cluster %d lost its last member", ci.index)
 	}
 	if s.net.IsDown(id) {
 		return fmt.Errorf("core: node %d is down; use RemoveNode for crashed members", id)
 	}
-	epoch := ci.pushEpoch(s.height, without(ci.members, id))
-	target := epoch.seq
+	epoch, err := ci.pushEpoch(s.height, without(ci.members, id))
+	if err != nil {
+		return err
+	}
+	target := epoch.Seq
 	n.HandoffChunks(s.net, func(moved int, herr error) {
 		if herr == nil {
 			ci.advancePlacement(target)
@@ -594,7 +595,7 @@ func (s *System) RejoinCluster(id simnet.NodeID, cb func(error)) error {
 		return err
 	}
 	ci := n.cluster
-	if memberOf(ci.members, id) {
+	if membership.Contains(ci.members, id) {
 		return fmt.Errorf("core: node %d is already a member of cluster %d", id, ci.index)
 	}
 	sponsor, serr := s.sponsorFor(ci, id)
@@ -604,8 +605,11 @@ func (s *System) RejoinCluster(id simnet.NodeID, cb func(error)) error {
 	if err := s.net.SetDown(id, false); err != nil {
 		return err
 	}
-	epoch := ci.pushEpoch(s.height, append(ci.members, id))
-	target := epoch.seq
+	epoch, err := ci.pushEpoch(s.height, append(ci.members, id))
+	if err != nil {
+		return err
+	}
+	target := epoch.Seq
 	n.Bootstrap(s.net, sponsor, func(err error) {
 		if err == nil {
 			ci.advancePlacement(target)
@@ -622,7 +626,7 @@ func (s *System) ClusterEpoch(c int) (int, error) {
 	if c < 0 || c >= len(s.clusters) {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
-	return s.clusters[c].currentEpoch().seq, nil
+	return s.clusters[c].epochs.Newest().Seq, nil
 }
 
 // ClusterMembersAt returns the member set of cluster c that governs blocks
@@ -631,5 +635,5 @@ func (s *System) ClusterMembersAt(c int, height uint64) ([]simnet.NodeID, error)
 	if c < 0 || c >= len(s.clusters) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCluster, c)
 	}
-	return append([]simnet.NodeID(nil), s.clusters[c].membersAt(height)...), nil
+	return append([]simnet.NodeID(nil), s.clusters[c].epochs.At(height).Members...), nil
 }

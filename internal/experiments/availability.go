@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"icistrategy/internal/blockcrypto"
-	"icistrategy/internal/core"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/metrics"
 	"icistrategy/internal/simnet"
 )
@@ -67,7 +67,7 @@ func failSet(members []simnet.NodeID, failures int, rng *blockcrypto.RNG) map[si
 // replication r survives the failure set: every chunk needs one live owner.
 func replicatedBlockAvailable(seed uint64, members []simnet.NodeID, down map[simnet.NodeID]bool, r int) bool {
 	for idx := 0; idx < len(members); idx++ {
-		owners, err := core.Owners(seed, members, idx, r)
+		owners, err := membership.Owners(seed, members, idx, r)
 		if err != nil {
 			return false
 		}
@@ -94,7 +94,7 @@ func codedBlockAvailable(seed uint64, members []simnet.NodeID, down map[simnet.N
 	}
 	live := 0
 	for idx := 0; idx < total; idx++ {
-		owners, err := core.Owners(seed, members, idx, 1)
+		owners, err := membership.Owners(seed, members, idx, 1)
 		if err != nil {
 			return false
 		}

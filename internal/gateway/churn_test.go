@@ -201,3 +201,84 @@ func TestUpstreamRefreshNoMapIsFalse(t *testing.T) {
 		t.Fatalf("peers = %v, want 3 members", got)
 	}
 }
+
+// TestGatewayReadsAfterMiddleMemberRetires is the regression test for
+// positional member identity: a Cluster built over the survivors of a
+// middle member's retirement numbered them by address position (0..6) while
+// the published map and the gateway number them by identity (0, 2..7), so
+// every chunk it wrote landed where no reader looked.
+func TestGatewayReadsAfterMiddleMemberRetires(t *testing.T) {
+	const n, r = 8, 2
+	addrs := make([]string, n)
+	for i := range addrs {
+		s, err := netx.NewServer("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		addrs[i] = s.Addr()
+	}
+	gen, err := workload.NewGenerator(workload.Config{Accounts: 40, PayloadBytes: 24, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := workload.NewChainBuilder(gen, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := netx.NewCluster(addrs, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	var written []*workloadBlock
+	b, err := cb.NextBlock(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.DistributeBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	written = append(written, &workloadBlock{b.Hash(), len(b.Txs)})
+	if _, err := full.RetireMember(addrs[1]); err != nil {
+		t.Fatal(err)
+	}
+
+	survivors, err := netx.NewCluster(append([]string{addrs[0]}, addrs[2:]...), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer survivors.Close()
+	for i := 0; i < 6; i++ {
+		b, err := cb.NextBlock(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := survivors.DistributeBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		written = append(written, &workloadBlock{b.Hash(), len(b.Txs)})
+	}
+
+	up, err := NewClusterUpstream(addrs, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	if !up.Refresh() {
+		t.Fatal("upstream did not adopt the published cluster map")
+	}
+	g, err := New(Config{Upstream: up})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range written {
+		got, err := g.GetBlock(want.hash)
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		if len(got.Txs) != want.txs {
+			t.Fatalf("block %d: %d txs, want %d", i, len(got.Txs), want.txs)
+		}
+	}
+}

@@ -8,9 +8,8 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
-	"icistrategy/internal/core"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/netx"
-	"icistrategy/internal/simnet"
 )
 
 // Gateway errors.
@@ -65,10 +64,9 @@ type ClusterUpstream struct {
 	replication int
 
 	mu      sync.Mutex
-	roster  []string        // peer number -> address; append-only
-	idOf    []simnet.NodeID // peer number -> placement identity
-	peerOf  map[string]int  // address -> peer number
-	epochs  []netx.EpochInfo
+	roster  []string       // peer number -> address; append-only
+	peerOf  map[string]int // address -> peer number
+	cmap    *membership.Map
 	clients map[int]*netx.Client
 	timeout time.Duration
 
@@ -79,7 +77,7 @@ type ClusterUpstream struct {
 
 // NewClusterUpstream wires an upstream over the cluster's server addresses;
 // replication must match the value blocks were distributed with. The given
-// addresses become membership epoch 0 (identity i at addrs[i] — the
+// addresses become membership epoch 0 (membership.Genesis, the
 // netx.NewCluster convention); later epochs arrive via Refresh.
 func NewClusterUpstream(addrs []string, replication int) (*ClusterUpstream, error) {
 	if len(addrs) == 0 {
@@ -88,9 +86,9 @@ func NewClusterUpstream(addrs []string, replication int) (*ClusterUpstream, erro
 	if replication < 1 || replication > len(addrs) {
 		return nil, fmt.Errorf("gateway: replication %d with %d servers", replication, len(addrs))
 	}
-	members := make([]netx.MemberInfo, len(addrs))
-	for i, addr := range addrs {
-		members[i] = netx.MemberInfo{ID: uint64(i), Addr: addr}
+	genesis, err := membership.Genesis(addrs)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
 	u := &ClusterUpstream{
 		replication: replication,
@@ -99,37 +97,22 @@ func NewClusterUpstream(addrs []string, replication int) (*ClusterUpstream, erro
 		timeout:     netx.DefaultRPCTimeout,
 		headers:     make(map[blockcrypto.Hash]chain.Header),
 	}
-	u.adoptLocked([]netx.EpochInfo{{Epoch: 0, FromHeight: 0, Members: members}})
+	u.adoptLocked(genesis)
 	return u, nil
 }
 
 // adoptLocked installs a cluster map, growing the append-only roster with
 // any member not yet numbered. Callers hold u.mu (or are the constructor).
-func (u *ClusterUpstream) adoptLocked(epochs []netx.EpochInfo) {
-	for _, e := range epochs {
-		for _, m := range e.Members {
-			if p, ok := u.peerOf[m.Addr]; ok {
-				u.idOf[p] = simnet.NodeID(m.ID)
-				continue
+func (u *ClusterUpstream) adoptLocked(m *membership.Map) {
+	for seq := 0; seq < m.Len(); seq++ {
+		for _, addr := range m.Epoch(seq).Addrs {
+			if _, ok := u.peerOf[addr]; !ok {
+				u.peerOf[addr] = len(u.roster)
+				u.roster = append(u.roster, addr)
 			}
-			u.peerOf[m.Addr] = len(u.roster)
-			u.roster = append(u.roster, m.Addr)
-			u.idOf = append(u.idOf, simnet.NodeID(m.ID))
 		}
 	}
-	u.epochs = append([]netx.EpochInfo(nil), epochs...)
-}
-
-// epochForLocked resolves the membership epoch governing a write height:
-// the last epoch whose FromHeight does not exceed it (so back-to-back
-// epochs at one height resolve to the later — same arithmetic as core).
-func (u *ClusterUpstream) epochForLocked(height uint64) netx.EpochInfo {
-	for i := len(u.epochs) - 1; i > 0; i-- {
-		if u.epochs[i].FromHeight <= height {
-			return u.epochs[i]
-		}
-	}
-	return u.epochs[0]
+	u.cmap = m
 }
 
 // SetTimeout sets the per-round-trip deadline for upstream calls.
@@ -161,71 +144,26 @@ func (u *ClusterUpstream) Parts(block blockcrypto.Hash) (int, error) {
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return len(u.epochForLocked(hdr.Height).Members), nil
-}
-
-// ownersOf maps a member set's rendezvous owners for one chunk to peer
-// numbers, clamping replication to the set size.
-func (u *ClusterUpstream) ownersOf(seed uint64, members []netx.MemberInfo, idx int) ([]int, error) {
-	ids := make([]simnet.NodeID, len(members))
-	for i, m := range members {
-		ids[i] = simnet.NodeID(m.ID)
-	}
-	r := u.replication
-	if r > len(ids) {
-		r = len(ids)
-	}
-	owners, err := core.Owners(seed, ids, idx, r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, 0, len(owners))
-	for _, o := range owners {
-		for i, m := range members {
-			if simnet.NodeID(m.ID) == o {
-				out = append(out, u.peerOf[members[i].Addr])
-				break
-			}
-		}
-	}
-	return out, nil
+	return u.cmap.At(hdr.Height).Parts(), nil
 }
 
 // Owners implements Upstream: the block's write-epoch owners first (where
 // the chunk was placed), then any distinct owners under the newest epoch
-// (where graceful departures migrate it to).
+// (where graceful departures migrate it to) — membership.Sources, mapped
+// to peer numbers.
 func (u *ClusterUpstream) Owners(block blockcrypto.Hash, idx int) ([]int, error) {
 	hdr, err := u.Header(block)
 	if err != nil {
 		return nil, err
 	}
-	seed := block.Uint64()
 	u.mu.Lock()
-	wrote := u.epochForLocked(hdr.Height)
-	newest := u.epochs[len(u.epochs)-1]
-	writeOwners, werr := u.ownersOf(seed, wrote.Members, idx)
-	if werr != nil {
-		u.mu.Unlock()
-		return nil, werr
+	defer u.mu.Unlock()
+	m := u.cmap
+	ids := membership.Sources(block.Uint64(), idx, u.replication, m.At(hdr.Height), m.Newest(), membership.NoMember)
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = u.peerOf[m.Addr(id)]
 	}
-	out := writeOwners
-	if newest.Epoch != wrote.Epoch {
-		newOwners, nerr := u.ownersOf(seed, newest.Members, idx)
-		if nerr != nil {
-			u.mu.Unlock()
-			return nil, nerr
-		}
-		seen := make(map[int]bool, len(out))
-		for _, p := range out {
-			seen[p] = true
-		}
-		for _, p := range newOwners {
-			if !seen[p] {
-				out = append(out, p)
-			}
-		}
-	}
-	u.mu.Unlock()
 	return out, nil
 }
 
@@ -233,24 +171,25 @@ func (u *ClusterUpstream) Owners(block blockcrypto.Hash, idx int) ([]int, error)
 func (u *ClusterUpstream) Peers() []int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	newest := u.epochs[len(u.epochs)-1]
-	out := make([]int, 0, len(newest.Members))
-	for _, m := range newest.Members {
-		out = append(out, u.peerOf[m.Addr])
+	newest := u.cmap.Newest()
+	out := make([]int, len(newest.Addrs))
+	for i, addr := range newest.Addrs {
+		out[i] = u.peerOf[addr]
 	}
 	return out
 }
 
 // Refresh implements Upstream: poll every known peer for its cluster map
-// and adopt the newest one found. Returns true when membership advanced —
-// the caller's cue to retry a read that missed under the stale map.
+// and adopt the newest valid one found. Returns true when membership
+// advanced — the caller's cue to retry a read that missed under the stale
+// map.
 func (u *ClusterUpstream) Refresh() bool {
 	u.mu.Lock()
 	known := len(u.roster)
-	have := u.epochs[len(u.epochs)-1].Epoch
+	have := u.cmap.Newest().Seq
 	u.mu.Unlock()
 
-	var best []netx.EpochInfo
+	var best *membership.Map
 	for peer := 0; peer < known; peer++ {
 		c, err := u.client(peer)
 		if err != nil {
@@ -261,8 +200,9 @@ func (u *ClusterUpstream) Refresh() bool {
 			u.dropClient(peer)
 			continue
 		}
-		if len(epochs) > 0 && epochs[len(epochs)-1].Epoch > have && len(epochs) > len(best) {
-			best = epochs
+		m, err := netx.ParseClusterMap(epochs)
+		if err == nil && m.Newest().Seq > have && (best == nil || m.Len() > best.Len()) {
+			best = m
 		}
 	}
 	if best == nil {
@@ -270,7 +210,7 @@ func (u *ClusterUpstream) Refresh() bool {
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if best[len(best)-1].Epoch <= u.epochs[len(u.epochs)-1].Epoch {
+	if best.Newest().Seq <= u.cmap.Newest().Seq {
 		return false // raced with another refresher
 	}
 	u.adoptLocked(best)

@@ -3,8 +3,9 @@ package netx
 import (
 	"fmt"
 
+	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
-	"icistrategy/internal/core"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 )
 
@@ -31,36 +32,46 @@ import (
 // newcomer to serve future blocks build a new Cluster over addrs +
 // newAddr.
 func (cl *Cluster) BootstrapNewMember(newAddr string) (int, error) {
-	newID := simnet.NodeID(len(cl.ids))
-	grown := append(append([]simnet.NodeID(nil), cl.ids...), newID)
-	return cl.provisionMember(newAddr, newID, grown)
+	ids := cl.identities()
+	// The newcomer keeps any identity an earlier epoch gave its address,
+	// else takes the next unused one.
+	grown := cl.known.Identify(append(cl.addrs[:len(cl.addrs):len(cl.addrs)], newAddr))
+	return cl.provisionMember(newAddr, grown[len(ids)], grown)
 }
 
 // ResyncMember re-provisions an existing member whose local store was lost
 // (crash, restart, disk wipe): headers are synced from a surviving member
 // and every chunk the member owns under the current membership is fetched
 // from another replica and pushed back, verify-on-write. addr must be the
-// member's own address — cl must span the full membership including it.
-// It returns how many chunks were transferred.
+// member's own address and id its placement identity — cl must span the
+// full membership including it. It returns how many chunks were
+// transferred.
 //
 // A chunk whose only owners were the lost member itself (replication 1)
 // cannot be recovered and fails the resync.
 func (cl *Cluster) ResyncMember(addr string, id simnet.NodeID) (int, error) {
-	if int(id) < 0 || int(id) >= len(cl.ids) {
-		return 0, fmt.Errorf("netx: resync: member id %d outside cluster of %d", id, len(cl.ids))
+	i, err := cl.memberIndex(addr)
+	if err != nil {
+		return 0, fmt.Errorf("netx: resync: %w", err)
 	}
-	if cl.addrs[int(id)] != addr {
-		return 0, fmt.Errorf("netx: resync: member %d is %s, not %s", id, cl.addrs[int(id)], addr)
+	if got := cl.identities()[i]; got != id {
+		return 0, fmt.Errorf("netx: resync: %s is member %d, not %d", addr, got, id)
 	}
-	return cl.provisionMember(addr, id, cl.ids)
+	return cl.provisionMember(addr, id, cl.identities())
 }
 
 // provisionMember pushes headers plus the chunks self owns (ownership is
 // rendezvous placement over the ownership id set) into the server at
-// target, fetching everything from the cluster's members other than target
-// itself. cl's membership is the membership blocks were distributed under,
-// so chunk counts and source owners are computed from cl.ids.
+// target. Every block resolves against the epoch it was written under, so
+// blocks distributed while the member was away keep their part count, and
+// each chunk is fetched from its write-epoch owners or, after a migration,
+// its newest-epoch owners — never from target itself.
 func (cl *Cluster) provisionMember(target string, self simnet.NodeID, ownership []simnet.NodeID) (int, error) {
+	cl.identities()
+	m, err := cl.orGenesis(cl.known) // the map the blocks were written under
+	if err != nil {
+		return 0, err
+	}
 	targetClient, err := Dial(target)
 	if err != nil {
 		return 0, fmt.Errorf("netx: bootstrap: dial member %s: %w", target, err)
@@ -72,62 +83,51 @@ func (cl *Cluster) provisionMember(target string, self simnet.NodeID, ownership 
 		return 0, err
 	}
 
-	parts := len(cl.ids) // chunk count of already-stored blocks
 	transferred := 0
 	for _, h := range headers {
 		block := h.Hash()
 		seed := block.Uint64()
-		for idx := 0; idx < parts; idx++ {
-			owns, oerr := core.IsOwner(seed, ownership, idx, cl.replication, self)
+		wrote := m.At(h.Height)
+		for idx := 0; idx < wrote.Parts(); idx++ {
+			owns, oerr := membership.IsOwner(seed, ownership, idx, cl.replication, self)
 			if oerr != nil {
 				return transferred, oerr
 			}
 			if !owns {
 				continue
 			}
-			// Owners under the distribute-time membership hold the data;
-			// the target itself (which may be one of them, in the resync
-			// case) has nothing to offer.
-			owners, oerr := core.Owners(seed, cl.ids, idx, cl.replication)
-			if oerr != nil {
-				return transferred, oerr
-			}
-			var chunk *ChunkResp
-			for _, o := range owners {
-				addr := cl.addrs[int(o)]
-				if addr == target {
-					continue
-				}
-				c, cerr := cl.client(addr)
-				if cerr != nil {
-					continue
-				}
-				resp, gerr := c.GetChunk(block, idx)
-				if gerr != nil {
-					cl.dropClient(addr)
-					continue
-				}
-				chunk = resp
-				break
-			}
-			if chunk == nil {
-				return transferred, fmt.Errorf("netx: bootstrap: chunk %d of %s unavailable from any owner", idx, block.Short())
+			sources := membership.Sources(seed, idx, cl.replication, wrote, m.Newest(), self)
+			chunk, ferr := cl.fetchChunk(block, idx, sources, m)
+			if ferr != nil {
+				return transferred, fmt.Errorf("netx: bootstrap: %w", ferr)
 			}
 			// The target server verifies proofs against the header on write.
-			if err := targetClient.PutChunk(PutChunkReq{
-				Block:   block,
-				Index:   idx,
-				Parts:   chunk.Parts,
-				TxStart: chunk.TxStart,
-				Data:    chunk.Data,
-				Proofs:  chunk.Proofs,
-			}); err != nil {
+			if err := targetClient.PutChunk(chunk.putReq(block)); err != nil {
 				return transferred, fmt.Errorf("netx: bootstrap: push chunk %d to %s: %w", idx, target, err)
 			}
 			transferred++
 		}
 	}
 	return transferred, nil
+}
+
+// fetchChunk gathers chunk idx of block from the first of sources that
+// serves it, resolving each source's address in m.
+func (cl *Cluster) fetchChunk(block blockcrypto.Hash, idx int, sources []simnet.NodeID, m *membership.Map) (*ChunkResp, error) {
+	for _, o := range sources {
+		a := m.Addr(o)
+		c, err := cl.client(a)
+		if err != nil {
+			continue
+		}
+		resp, err := c.GetChunk(block, idx)
+		if err != nil {
+			cl.dropClient(a)
+			continue
+		}
+		return resp, nil
+	}
+	return nil, fmt.Errorf("chunk %d of %s unavailable from any owner", idx, block.Short())
 }
 
 // syncHeaders copies the header chain from the first reachable member

@@ -3,7 +3,7 @@ package netx
 import (
 	"testing"
 
-	"icistrategy/internal/core"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 )
 
@@ -47,7 +47,7 @@ func TestBootstrapNewMemberOverTCP(t *testing.T) {
 	for _, b := range blocks {
 		seed := b.Hash().Uint64()
 		for idx := 0; idx < 6; idx++ {
-			owns, err := core.IsOwner(seed, grown, idx, 2, 6)
+			owns, err := membership.IsOwner(seed, grown, idx, 2, 6)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestBootstrapNewMemberOverTCP(t *testing.T) {
 		for _, b := range blocks {
 			seed := b.Hash().Uint64()
 			for idx := 0; idx < 6 && !found; idx++ {
-				owns, _ := core.IsOwner(seed, grown, idx, 2, 6)
+				owns, _ := membership.IsOwner(seed, grown, idx, 2, 6)
 				if !owns {
 					continue
 				}

@@ -3,8 +3,7 @@ package netx
 import (
 	"fmt"
 
-	"icistrategy/internal/blockcrypto"
-	"icistrategy/internal/core"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 )
 
@@ -34,23 +33,11 @@ func (c *Client) SetClusterMap(epochs []EpochInfo) error {
 	return respError(resp)
 }
 
-// baseEpoch synthesizes the genesis epoch from the cluster's constructor
-// membership — the map every deployment implicitly runs under before any
-// churn is published.
-func (cl *Cluster) baseEpoch() EpochInfo {
-	members := make([]MemberInfo, len(cl.addrs))
-	for i, addr := range cl.addrs {
-		members[i] = MemberInfo{ID: uint64(cl.ids[i]), Addr: addr}
-	}
-	return EpochInfo{Epoch: 0, FromHeight: 0, Members: members}
-}
-
-// currentMap gathers the newest published cluster map reachable in the
-// cluster, falling back to the synthesized genesis epoch when nobody holds
-// one. Polling every member (not just the first) tolerates members that
-// missed an earlier publish.
-func (cl *Cluster) currentMap() []EpochInfo {
-	best := []EpochInfo{cl.baseEpoch()}
+// publishedMap gathers the newest valid cluster map published to any
+// reachable member; nil when nobody holds one. Polling every member (not
+// just the first) tolerates members that missed an earlier publish.
+func (cl *Cluster) publishedMap() *membership.Map {
+	var best *membership.Map
 	for _, addr := range cl.addrs {
 		c, err := cl.client(addr)
 		if err != nil {
@@ -61,11 +48,22 @@ func (cl *Cluster) currentMap() []EpochInfo {
 			cl.dropClient(addr)
 			continue
 		}
-		if len(epochs) > len(best) { // epoch numbers are positional
-			best = epochs
+		m, err := ParseClusterMap(epochs)
+		if err == nil && (best == nil || m.Len() > best.Len()) { // epoch numbers are positional
+			best = m
 		}
 	}
 	return best
+}
+
+// orGenesis returns m, or when nobody published a map the genesis epoch
+// over the cluster's addresses — the map every deployment implicitly runs
+// under before any churn is published.
+func (cl *Cluster) orGenesis(m *membership.Map) (*membership.Map, error) {
+	if m != nil {
+		return m, nil
+	}
+	return membership.Genesis(cl.addrs)
 }
 
 // maxHeight reports the highest header height any reachable member holds.
@@ -93,31 +91,31 @@ func (cl *Cluster) maxHeight() (uint64, bool) {
 
 // PublishEpoch appends a membership epoch to the cluster map and pushes the
 // updated map to every reachable member of both the old and new rosters.
-// The epoch governs blocks written above the highest header currently held,
-// so in-flight history keeps resolving against its write-time membership.
-// Returns the new epoch number.
-func (cl *Cluster) PublishEpoch(members []MemberInfo) (int, error) {
-	if len(members) == 0 {
-		return 0, fmt.Errorf("netx: publish epoch with no members")
+// The epoch governs blocks written above the highest header currently held
+// and never starts below the newest epoch (only lagging members may
+// answer), so history keeps resolving against its write-time membership.
+// addrs parallels ids. Returns the new epoch number.
+func (cl *Cluster) PublishEpoch(ids []simnet.NodeID, addrs []string) (int, error) {
+	m, err := cl.orGenesis(cl.publishedMap()) // fresh: append to the newest map
+	if err != nil {
+		return 0, err
 	}
-	epochs := cl.currentMap()
-	var from uint64
+	from := m.Newest().FromHeight
 	if h, ok := cl.maxHeight(); ok {
-		from = h + 1
+		from = max(from, h+1)
 	}
-	next := EpochInfo{
-		Epoch:      len(epochs),
-		FromHeight: from,
-		Members:    append([]MemberInfo(nil), members...),
+	next, err := m.Push(from, ids, addrs)
+	if err != nil {
+		return 0, fmt.Errorf("netx: publish epoch: %w", err)
 	}
-	epochs = append(epochs, next)
+	epochs := wireMap(m)
 
-	targets := make(map[string]bool, len(cl.addrs)+len(members))
+	targets := make(map[string]bool, len(cl.addrs)+len(addrs))
 	for _, addr := range cl.addrs {
 		targets[addr] = true
 	}
-	for _, m := range members {
-		targets[m.Addr] = true
+	for _, a := range addrs {
+		targets[a] = true
 	}
 	published := 0
 	for addr := range targets {
@@ -132,9 +130,20 @@ func (cl *Cluster) PublishEpoch(members []MemberInfo) (int, error) {
 		published++
 	}
 	if published == 0 {
-		return 0, fmt.Errorf("netx: cluster map epoch %d reached no member", next.Epoch)
+		return 0, fmt.Errorf("netx: cluster map epoch %d reached no member", next.Seq)
 	}
-	return next.Epoch, nil
+	return next.Seq, nil
+}
+
+// memberIndex returns addr's position in the cluster, or an error when it
+// is not a member.
+func (cl *Cluster) memberIndex(addr string) (int, error) {
+	for i, a := range cl.addrs {
+		if a == addr {
+			return i, nil
+		}
+	}
+	return -1, fmt.Errorf("netx: %s is not a cluster member", addr)
 }
 
 // RetireMember gracefully removes the member serving at addr from a cluster
@@ -147,34 +156,16 @@ func (cl *Cluster) PublishEpoch(members []MemberInfo) (int, error) {
 // transfer set is exactly the leaver's displaced replicas. Returns the
 // number of chunks moved.
 func (cl *Cluster) RetireMember(addr string) (int, error) {
-	li := -1
-	for i, a := range cl.addrs {
-		if a == addr {
-			li = i
-			break
-		}
-	}
-	if li < 0 {
-		return 0, fmt.Errorf("netx: %s is not a cluster member", addr)
+	li, err := cl.memberIndex(addr)
+	if err != nil {
+		return 0, err
 	}
 	if len(cl.addrs) == 1 {
 		return 0, fmt.Errorf("netx: cannot retire the last member")
 	}
-	shrunkIDs := make([]simnet.NodeID, 0, len(cl.ids)-1)
-	addrOf := make(map[simnet.NodeID]string, len(cl.ids))
-	var remaining []MemberInfo
-	for i, id := range cl.ids {
-		addrOf[id] = cl.addrs[i]
-		if i == li {
-			continue
-		}
-		shrunkIDs = append(shrunkIDs, id)
-		remaining = append(remaining, MemberInfo{ID: uint64(id), Addr: cl.addrs[i]})
-	}
-	r := cl.replication
-	if r > len(shrunkIDs) {
-		r = len(shrunkIDs)
-	}
+	ids := cl.identities()
+	shrunk := append(ids[:li:li], ids[li+1:]...)
+	remaining := append(cl.addrs[:li:li], cl.addrs[li+1:]...)
 
 	leaver, err := cl.client(addr)
 	if err != nil {
@@ -195,175 +186,49 @@ func (cl *Cluster) RetireMember(addr string) (int, error) {
 		}
 		seed := block.Uint64()
 		for _, chk := range resp.Chunks {
-			oldOwners, err := core.Owners(seed, cl.ids, chk.Index, cl.replication)
-			if err != nil {
-				return moved, err
-			}
-			newOwners, err := core.Owners(seed, shrunkIDs, chk.Index, r)
-			if err != nil {
-				return moved, err
-			}
-			was := make(map[simnet.NodeID]bool, len(oldOwners))
-			for _, o := range oldOwners {
-				was[o] = true
-			}
-			pushed := false
-			for _, o := range newOwners {
-				if was[o] {
-					continue
-				}
-				dst, cerr := cl.client(addrOf[o])
+			gainers := membership.Gainers(seed, chk.Index, cl.replication, ids, shrunk, ids[li])
+			for _, o := range gainers {
+				to := cl.view.Addr(o)
+				dst, cerr := cl.client(to)
 				if cerr != nil {
-					return moved, fmt.Errorf("netx: retire %s: dial gainer %s: %w", addr, addrOf[o], cerr)
+					return moved, fmt.Errorf("netx: retire %s: dial gainer %s: %w", addr, to, cerr)
 				}
-				req := PutChunkReq{
-					Block:   block,
-					Index:   chk.Index,
-					Parts:   chk.Parts,
-					TxStart: chk.TxStart,
-					Data:    chk.Data,
-					Proofs:  chk.Proofs,
+				if perr := dst.PutChunk(chk.putReq(block)); perr != nil {
+					cl.dropClient(to)
+					return moved, fmt.Errorf("netx: retire %s: push chunk %d to %s: %w", addr, chk.Index, to, perr)
 				}
-				if perr := dst.PutChunk(req); perr != nil {
-					cl.dropClient(addrOf[o])
-					return moved, fmt.Errorf("netx: retire %s: push chunk %d to %s: %w", addr, chk.Index, addrOf[o], perr)
-				}
-				pushed = true
 			}
-			if pushed {
+			if len(gainers) > 0 {
 				moved++
 			}
 		}
 	}
-	if _, err := cl.PublishEpoch(remaining); err != nil {
+	if _, err := cl.PublishEpoch(shrunk, remaining); err != nil {
 		return moved, err
 	}
 	return moved, nil
 }
 
-// epochForMap resolves the epoch governing a write height in a cluster map:
-// the last entry whose FromHeight does not exceed it (back-to-back epochs
-// at one height resolve to the later — same arithmetic as core).
-func epochForMap(epochs []EpochInfo, height uint64) EpochInfo {
-	for i := len(epochs) - 1; i > 0; i-- {
-		if epochs[i].FromHeight <= height {
-			return epochs[i]
-		}
-	}
-	return epochs[0]
-}
-
 // RejoinMember re-provisions a member returning after a graceful departure
 // and publishes the restored membership as a new epoch. cl must span the
-// full post-rejoin membership including addr. Unlike ResyncMember, every
-// block is resolved against the epoch it was written under — blocks
-// distributed while the member was away have fewer parts, and their chunks
-// may have migrated to new owners — so the rejoiner receives exactly the
-// chunks it owns under the restored membership, fetched from either their
-// write-epoch or post-migration holders. Returns the chunks transferred.
+// full post-rejoin membership including addr. Every block is resolved
+// against the epoch it was written under — blocks distributed while the
+// member was away have fewer parts, and their chunks may have migrated to
+// new owners — so the rejoiner receives exactly the chunks it owns under
+// the restored membership, fetched from either their write-epoch or
+// post-migration holders. Returns the chunks transferred.
 func (cl *Cluster) RejoinMember(addr string) (int, error) {
-	li := -1
-	for i, a := range cl.addrs {
-		if a == addr {
-			li = i
-			break
-		}
-	}
-	if li < 0 {
-		return 0, fmt.Errorf("netx: %s is not a cluster member", addr)
-	}
-	self := cl.ids[li]
-	epochs := cl.currentMap()
-	newest := epochs[len(epochs)-1]
-
-	targetClient, err := Dial(addr)
-	if err != nil {
-		return 0, fmt.Errorf("netx: rejoin: dial member %s: %w", addr, err)
-	}
-	defer targetClient.Close()
-	headers, err := cl.syncHeaders(targetClient, addr)
+	li, err := cl.memberIndex(addr)
 	if err != nil {
 		return 0, err
 	}
-
-	transferred := 0
-	for _, h := range headers {
-		block := h.Hash()
-		seed := block.Uint64()
-		wrote := epochForMap(epochs, h.Height)
-		parts := len(wrote.Members)
-		for idx := 0; idx < parts; idx++ {
-			owns, oerr := core.IsOwner(seed, cl.ids, idx, cl.replication, self) //icilint:allow epochres(churn transfer decides ownership under the NEW roster on purpose; it fetches from the write-epoch members wrote.Members)
-			if oerr != nil {
-				return transferred, oerr
-			}
-			if !owns {
-				continue
-			}
-			chunk, ferr := cl.fetchFromEpochOwners(block, seed, idx, addr, wrote, newest)
-			if ferr != nil {
-				return transferred, ferr
-			}
-			if err := targetClient.PutChunk(PutChunkReq{
-				Block:   block,
-				Index:   idx,
-				Parts:   chunk.Parts,
-				TxStart: chunk.TxStart,
-				Data:    chunk.Data,
-				Proofs:  chunk.Proofs,
-			}); err != nil {
-				return transferred, fmt.Errorf("netx: rejoin: push chunk %d to %s: %w", idx, addr, err)
-			}
-			transferred++
-		}
+	ids := cl.identities()
+	transferred, err := cl.provisionMember(addr, ids[li], ids)
+	if err != nil {
+		return transferred, err
 	}
-	members := make([]MemberInfo, len(cl.addrs))
-	for i := range cl.addrs {
-		members[i] = MemberInfo{ID: uint64(cl.ids[i]), Addr: cl.addrs[i]}
-	}
-	if _, err := cl.PublishEpoch(members); err != nil {
+	if _, err := cl.PublishEpoch(ids, cl.addrs); err != nil {
 		return transferred, err
 	}
 	return transferred, nil
-}
-
-// fetchFromEpochOwners gathers one chunk from its write-epoch owners or,
-// failing those, the owners it migrated to under the newest epoch —
-// skipping the member being provisioned, which has nothing to offer.
-func (cl *Cluster) fetchFromEpochOwners(block blockcrypto.Hash, seed uint64, idx int, skip string, es ...EpochInfo) (*ChunkResp, error) {
-	tried := make(map[string]bool)
-	for _, e := range es {
-		ids := make([]simnet.NodeID, len(e.Members))
-		addrOf := make(map[simnet.NodeID]string, len(e.Members))
-		for i, m := range e.Members {
-			ids[i] = simnet.NodeID(m.ID)
-			addrOf[ids[i]] = m.Addr
-		}
-		r := cl.replication
-		if r > len(ids) {
-			r = len(ids)
-		}
-		owners, err := core.Owners(seed, ids, idx, r)
-		if err != nil {
-			return nil, err
-		}
-		for _, o := range owners {
-			a := addrOf[o]
-			if a == skip || tried[a] {
-				continue
-			}
-			tried[a] = true
-			c, cerr := cl.client(a)
-			if cerr != nil {
-				continue
-			}
-			resp, gerr := c.GetChunk(block, idx)
-			if gerr != nil {
-				cl.dropClient(a)
-				continue
-			}
-			return resp, nil
-		}
-	}
-	return nil, fmt.Errorf("netx: rejoin: chunk %d of %s unavailable from any epoch owner", idx, block.Short())
 }

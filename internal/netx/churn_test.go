@@ -1,8 +1,11 @@
 package netx
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"icistrategy/internal/simnet"
 )
 
 func mapServer(t *testing.T) (*Server, *Client) {
@@ -23,7 +26,7 @@ func mapServer(t *testing.T) (*Server, *Client) {
 func epoch(n int, from uint64, ids ...uint64) EpochInfo {
 	e := EpochInfo{Epoch: n, FromHeight: from}
 	for _, id := range ids {
-		e.Members = append(e.Members, MemberInfo{ID: id, Addr: "x"})
+		e.Members = append(e.Members, MemberInfo{ID: id, Addr: fmt.Sprintf("m%d", id)})
 	}
 	return e
 }
@@ -76,6 +79,13 @@ func TestClusterMapRejectsMalformed(t *testing.T) {
 		{"nonpositional", []EpochInfo{epoch(1, 0, 1)}},
 		{"gap", []EpochInfo{epoch(0, 0, 1), epoch(2, 4, 1)}},
 		{"memberless epoch", []EpochInfo{{Epoch: 0}}},
+		// An epoch starting below its predecessor would re-address blocks
+		// the older epoch already placed.
+		{"height regression", []EpochInfo{epoch(0, 0, 1, 2), epoch(1, 9, 1), epoch(2, 4, 1, 2)}},
+		// A duplicate ID inflates the part count and silently halves the
+		// replication of the chunks it owns.
+		{"duplicate id", []EpochInfo{{Epoch: 0, Members: []MemberInfo{{ID: 1, Addr: "a"}, {ID: 1, Addr: "b"}}}}},
+		{"duplicate address", []EpochInfo{{Epoch: 0, Members: []MemberInfo{{ID: 1, Addr: "a"}, {ID: 2, Addr: "a"}}}}},
 	}
 	for _, tc := range cases {
 		err := c.SetClusterMap(tc.epochs)
@@ -99,7 +109,7 @@ func TestPublishEpochSynthesizesGenesis(t *testing.T) {
 
 	// No map published anywhere: the first PublishEpoch synthesizes epoch 0
 	// from the constructor roster and appends the new membership as epoch 1.
-	n, err := cl.PublishEpoch([]MemberInfo{{ID: 0, Addr: s1.Addr()}})
+	n, err := cl.PublishEpoch([]simnet.NodeID{0}, []string{s1.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,5 +146,36 @@ func TestPublishEpochSynthesizesGenesis(t *testing.T) {
 	defer solo.Close()
 	if _, err := solo.RetireMember(s1.Addr()); err == nil {
 		t.Fatal("retired the last member")
+	}
+}
+
+// TestPublishEpochNeverStartsBelowNewest covers a height probe that reaches
+// only members lagging behind the map: the highest header they hold is
+// below the newest epoch's start, and a new epoch starting there would
+// re-address blocks the newest epoch already placed.
+func TestPublishEpochNeverStartsBelowNewest(t *testing.T) {
+	s1, c1 := mapServer(t)
+	s2, c2 := mapServer(t)
+	both := []MemberInfo{{ID: 0, Addr: s1.Addr()}, {ID: 1, Addr: s2.Addr()}}
+	published := []EpochInfo{{Epoch: 0, Members: both}, {Epoch: 1, FromHeight: 9, Members: both}}
+	for _, c := range []*Client{c1, c2} {
+		if err := c.SetClusterMap(published); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl, err := NewCluster([]string{s1.Addr(), s2.Addr()}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.PublishEpoch([]simnet.NodeID{0}, []string{s1.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := c2.GetClusterMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != 3 || m[2].FromHeight != 9 {
+		t.Fatalf("map = %+v, want epoch 2 starting at the newest epoch's height 9", m)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
 	"icistrategy/internal/core"
+	"icistrategy/internal/membership"
 	"icistrategy/internal/simnet"
 	"icistrategy/internal/trace"
 )
@@ -232,10 +233,16 @@ func (c *Client) Stats() (*StatsResp, error) {
 // applies the same rendezvous placement as the simulator's protocol layer
 // to distribute blocks, and reassembles them with Merkle-root verification
 // on reads.
+//
+// Members are placed by identity, not position (see identities), so a
+// Cluster over any subset of the membership writes where readers look.
 type Cluster struct {
 	addrs       []string
-	ids         []simnet.NodeID // placement identities, parallel to addrs
 	replication int
+
+	idOnce sync.Once
+	known  *membership.Map  // published map read by identities; nil if none
+	view   membership.Epoch // identities of addrs (Members) and addrs itself
 
 	mu      sync.Mutex
 	clients map[string]*Client
@@ -251,13 +258,8 @@ func NewCluster(addrs []string, replication int) (*Cluster, error) {
 	if replication < 1 || replication > len(addrs) {
 		return nil, fmt.Errorf("netx: replication %d with %d servers", replication, len(addrs))
 	}
-	ids := make([]simnet.NodeID, len(addrs))
-	for i := range ids {
-		ids[i] = simnet.NodeID(i)
-	}
 	return &Cluster{
 		addrs:       addrs,
-		ids:         ids,
 		replication: replication,
 		clients:     make(map[string]*Client),
 		timeout:     DefaultRPCTimeout,
@@ -311,6 +313,16 @@ func (cl *Cluster) client(addr string) (*Client, error) {
 	return c, nil
 }
 
+// identities returns the members' placement identities, parallel to addrs
+// (membership.Map.Identify over the published map, read once per Cluster).
+func (cl *Cluster) identities() []simnet.NodeID {
+	cl.idOnce.Do(func() {
+		cl.known = cl.publishedMap()
+		cl.view = membership.Epoch{Members: cl.known.Identify(cl.addrs), Addrs: cl.addrs}
+	})
+	return cl.view.Members
+}
+
 // dropClient evicts a cached connection after a transport failure.
 func (cl *Cluster) dropClient(addr string) {
 	cl.mu.Lock()
@@ -334,6 +346,7 @@ func (cl *Cluster) DistributeBlock(b *chain.Block) error {
 }
 
 func (cl *Cluster) distributeBlock(b *chain.Block, parent trace.SpanID) error {
+	ids := cl.identities() // before any traced client: the map read is set-up, not distribution
 	tree, err := chain.TxMerkleTree(b.Txs)
 	if err != nil {
 		return err
@@ -375,12 +388,12 @@ func (cl *Cluster) distributeBlock(b *chain.Block, parent trace.SpanID) error {
 			Data:    sub.EncodeBody(),
 			Proofs:  proofs,
 		}
-		owners, oerr := core.Owners(seed, cl.ids, idx, cl.replication)
+		owners, oerr := membership.Owners(seed, ids, idx, cl.replication)
 		if oerr != nil {
 			return oerr
 		}
 		for _, o := range owners {
-			addr := cl.addrs[int(o)]
+			addr := cl.view.Addr(o)
 			c, cerr := cl.tracedClient(addr, parent)
 			if cerr != nil {
 				return cerr

@@ -17,6 +17,8 @@ import (
 
 	"icistrategy/internal/blockcrypto"
 	"icistrategy/internal/chain"
+	"icistrategy/internal/membership"
+	"icistrategy/internal/simnet"
 )
 
 // Protocol errors.
@@ -96,6 +98,11 @@ type ChunkResp struct {
 	Proofs  []chain.Proof
 }
 
+// putReq re-addresses a fetched chunk of block as a store request.
+func (c *ChunkResp) putReq(block blockcrypto.Hash) PutChunkReq {
+	return PutChunkReq{Block: block, Index: c.Index, Parts: c.Parts, TxStart: c.TxStart, Data: c.Data, Proofs: c.Proofs}
+}
+
 // ChunkRef names one stored chunk, possibly of a different block than its
 // batch siblings.
 type ChunkRef struct {
@@ -163,12 +170,43 @@ type MemberInfo struct {
 // EpochInfo is one entry of the epoch-versioned cluster map: the member set
 // that governs blocks written at or above FromHeight. The full epoch
 // history travels together so readers can resolve any historic block
-// against the membership it was written under (same arithmetic as
-// core's membership epochs: last entry with FromHeight <= height wins).
+// against the membership it was written under. EpochInfo is only the wire
+// format; ParseClusterMap turns it into a membership.Map.
 type EpochInfo struct {
 	Epoch      int
 	FromHeight uint64
 	Members    []MemberInfo
+}
+
+// ParseClusterMap validates a wire cluster map into a membership.Map — the
+// one conversion from the wire format. Servers refuse, and readers ignore,
+// any map it rejects (see membership.New for the invariants).
+func ParseClusterMap(epochs []EpochInfo) (*membership.Map, error) {
+	if len(epochs) > maxMapEpochs {
+		return nil, fmt.Errorf("%w: %d epochs", membership.ErrBadMap, len(epochs))
+	}
+	es := make([]membership.Epoch, len(epochs))
+	for i, e := range epochs {
+		es[i] = membership.Epoch{Seq: e.Epoch, FromHeight: e.FromHeight,
+			Members: make([]simnet.NodeID, len(e.Members)), Addrs: make([]string, len(e.Members))}
+		for j, m := range e.Members {
+			es[i].Members[j], es[i].Addrs[j] = simnet.NodeID(m.ID), m.Addr
+		}
+	}
+	return membership.New(es)
+}
+
+// wireMap is the inverse of ParseClusterMap.
+func wireMap(m *membership.Map) []EpochInfo {
+	out := make([]EpochInfo, m.Len())
+	for i := range out {
+		e := m.Epoch(i)
+		out[i] = EpochInfo{Epoch: e.Seq, FromHeight: e.FromHeight, Members: make([]MemberInfo, len(e.Members))}
+		for j, id := range e.Members {
+			out[i].Members[j] = MemberInfo{ID: uint64(id), Addr: e.Addrs[j]}
+		}
+	}
+	return out
 }
 
 // ClusterMapReq fetches the server's epoch-versioned cluster map.

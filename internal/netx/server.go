@@ -293,26 +293,19 @@ func (s *Server) handleClusterMap(req *Request) *Response {
 		return &Response{ClusterMap: &ClusterMapResp{Epochs: out}}
 	}
 	r := req.SetClusterMap
-	if len(r.Epochs) == 0 || len(r.Epochs) > maxMapEpochs {
-		return errResp(fmt.Errorf("%w: cluster map with %d epochs", ErrBadRequest, len(r.Epochs)))
+	m, err := ParseClusterMap(r.Epochs)
+	if err != nil {
+		return errResp(fmt.Errorf("%w: %v", ErrBadRequest, err))
 	}
-	for i, e := range r.Epochs {
-		if e.Epoch != i {
-			return errResp(fmt.Errorf("%w: epoch %d at position %d", ErrBadRequest, e.Epoch, i))
-		}
-		if len(e.Members) == 0 {
-			return errResp(fmt.Errorf("%w: epoch %d has no members", ErrBadRequest, i))
-		}
-	}
-	newest := r.Epochs[len(r.Epochs)-1].Epoch
+	newest := m.Newest()
 	s.mu.Lock()
-	if len(s.cmap) > 0 && newest <= s.cmap[len(s.cmap)-1].Epoch {
+	if len(s.cmap) > 0 && newest.Seq <= s.cmap[len(s.cmap)-1].Epoch {
 		s.mu.Unlock()
 		return okResp() // stale or duplicate publish: keep what we have
 	}
 	s.cmap = append([]EpochInfo(nil), r.Epochs...)
 	s.mu.Unlock()
-	s.event("clustermap.update", "epoch", newest, "members", len(r.Epochs[len(r.Epochs)-1].Members))
+	s.event("clustermap.update", "epoch", newest.Seq, "members", newest.Parts())
 	return okResp()
 }
 
